@@ -4,10 +4,9 @@
 //! double-buffer bound; memory-bound layers expose every extra byte).
 
 use crate::trace::LayerSchedule;
-use serde::{Deserialize, Serialize};
 
 /// Whether a layer is limited by the PE array or by DRAM bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Compute time exceeds transfer time: extra memory traffic hides.
     Compute,
@@ -16,7 +15,7 @@ pub enum Bound {
 }
 
 /// Roofline summary of one layer under a machine balance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerRoofline {
     /// Layer id.
     pub layer_id: u32,
@@ -32,7 +31,7 @@ pub struct LayerRoofline {
 
 /// The machine balance: MACs the array can retire per byte the memory
 /// system can deliver per cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineBalance {
     /// Peak MACs per cycle (PE count).
     pub macs_per_cycle: f64,

@@ -19,11 +19,10 @@
 
 use crate::layer::{LayerDesc, LayerKind, PreprocStyle};
 use crate::tiling::{Alphas, TileConfig};
-use serde::{Deserialize, Serialize};
 
 /// The canonical shape of a tile schedule, determining the VN pattern
 /// family (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleShape {
     /// Spatial tile outermost, channel groups next, output groups
     /// innermost (paper patterns P1 *Multi-step* / P4 *Sawtooth*).
@@ -35,7 +34,7 @@ pub enum ScheduleShape {
 }
 
 /// How many times input tiles are fetched from DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadFactor {
     /// Fetched once over the whole layer (the reused operand).
     Once,
@@ -46,7 +45,7 @@ pub enum ReadFactor {
 }
 
 /// Convolution dataflows — the rows of paper Tables 2 and 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConvDataflow {
     /// Input reuse, partial channel, tile movement along the channel
     /// (Table 2 row 1): `h_T ▷ w_T ▷ c ▷ k_T`.
@@ -140,7 +139,7 @@ impl ConvDataflow {
 
 /// Matrix-multiplication dataflows — paper Table 4 (`R = P × Q`,
 /// `P: H×C`, `Q: C×W`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatmulDataflow {
     /// Row 1 — `P`-tile stationary: `h_T ▷ c_T ▷ w_T`.
     FixP,
@@ -168,7 +167,7 @@ impl MatmulDataflow {
 }
 
 /// Pre-processing / pooling dataflows — paper Tables 8, 9, 10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PreprocDataflow {
     /// One whole channel (or channel group) per tile.
     ChannelWise,
@@ -191,7 +190,7 @@ impl PreprocDataflow {
 }
 
 /// A dataflow choice for any layer kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Convolution / deconvolution / pooling-as-conv dataflow.
     Conv(ConvDataflow),
@@ -203,7 +202,7 @@ pub enum Dataflow {
 
 /// Normalized generator parameters: everything the trace generator and
 /// pattern deriver need, independent of layer kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GeneratorSpec {
     /// Schedule shape (pattern family).
     pub shape: ScheduleShape,

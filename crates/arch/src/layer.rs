@@ -3,8 +3,6 @@
 //! pooling, and the three image pre-processing computation styles
 //! (paper §2.2, §5.2, Tables 8–10).
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per feature-map element (the paper assumes 4-byte pixels:
 /// "Each 64-byte data block can store 16 four-byte pixels", §4.1.1).
 pub const PIXEL_BYTES: u64 = 4;
@@ -13,7 +11,7 @@ pub const PIXEL_BYTES: u64 = 4;
 pub const BLOCK_BYTES: u64 = 64;
 
 /// Shape of a (possibly strided, padded) convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvShape {
     /// Number of output feature maps (`K`).
     pub k: u32,
@@ -74,7 +72,7 @@ impl ConvShape {
 
 /// Shape of a tiled matrix multiplication `R = P × Q` with
 /// `P: H×C`, `Q: C×W`, `R: H×W` (paper Table 4's naming).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatmulShape {
     /// Rows of `P` and `R`.
     pub h: u32,
@@ -99,7 +97,7 @@ impl MatmulShape {
 }
 
 /// The image pre-processing computation styles of paper §5.2.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PreprocStyle {
     /// `S_x = T_x(X)`: each output channel depends on exactly one input
     /// channel (also covers pooling — Table 8).
@@ -114,7 +112,7 @@ pub enum PreprocStyle {
 
 /// What a layer computes. Every kind reduces, for traffic and VN-pattern
 /// purposes, to "read inputs (+weights), accumulate, write outputs".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Standard convolution.
     Conv(ConvShape),
@@ -161,7 +159,7 @@ pub enum LayerKind {
 
 /// A layer instance inside a network, with stable tensor identities used
 /// by the security machinery (MACs bind to `(fmap id, block index)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerDesc {
     /// Layer id (`L` in the MAC formula). Unique within a network.
     pub id: u32,
@@ -292,7 +290,7 @@ impl LayerDesc {
 }
 
 /// Normalized dimensions every layer kind exposes to the tiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerDims {
     /// Output channels (or output groups).
     pub k: u32,

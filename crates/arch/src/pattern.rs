@@ -11,7 +11,6 @@
 
 use crate::dataflow::ScheduleShape;
 use crate::tiling::Alphas;
-use serde::{Deserialize, Serialize};
 
 /// The master-equation triplet `⟨η, κ, ρ⟩` describing the VN sequence
 /// `(1^η, 2^η, …, κ^η)^ρ`.
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(seq, [1, 1, 2, 2, 3, 3, 1, 1, 2, 2, 3, 3]);
 /// assert_eq!(p.vn_at(4), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PatternSpec {
     /// Run length `η` — how many consecutive accesses share a VN.
     pub eta: u64,
@@ -165,7 +164,7 @@ impl IntoIterator for PatternSpec {
 }
 
 /// The paper's five named pattern shapes (§5, pattern-table header).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternFamily {
     /// P1: staircase repeated several times.
     MultiStep,

@@ -7,10 +7,9 @@ use crate::dataflow::{Dataflow, DataflowError};
 use crate::layer::LayerDesc;
 use crate::tiling::TileConfig;
 use crate::trace::LayerSchedule;
-use serde::{Deserialize, Serialize};
 
 /// The persistent form of one layer's mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleRecipe {
     /// The layer being scheduled.
     pub layer: LayerDesc,
@@ -43,7 +42,7 @@ impl ScheduleRecipe {
 }
 
 /// A whole network's mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MappingRecipe {
     /// One recipe per layer, in execution order.
     pub layers: Vec<ScheduleRecipe>,
@@ -96,8 +95,8 @@ mod tests {
 
     #[test]
     fn recipes_are_plain_data() {
-        // The derive-based round trip through the serde data model is the
-        // contract; exercise it with the JSON-ish Debug form stability.
+        // A recipe is plain `Copy` data: copying it preserves equality
+        // and the copy still instantiates a schedule.
         let layer = LayerDesc::new(0, LayerKind::Conv(ConvShape::simple(4, 2, 8, 3)));
         let recipe = ScheduleRecipe {
             layer,

@@ -4,11 +4,10 @@
 //! `α_HW = H·W / (H_T·W_T)`).
 
 use crate::layer::{LayerDesc, PIXEL_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Tile sizes along each dimension. A value of the full dimension means
 /// "untiled".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileConfig {
     /// Output channels per tile (`K_T`).
     pub kt: u32,
@@ -46,7 +45,7 @@ impl std::fmt::Display for TileError {
 impl std::error::Error for TileError {}
 
 /// The tile-count ratios of the paper's pattern tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Alphas {
     /// `α_K = ⌈K / K_T⌉` — number of output-channel groups.
     pub alpha_k: u32,

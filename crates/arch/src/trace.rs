@@ -13,10 +13,9 @@ use crate::dataflow::{
 use crate::layer::{LayerDesc, PIXEL_BYTES};
 use crate::pattern::{read_pattern, write_pattern, PatternSpec};
 use crate::tiling::TileConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which tensor of the layer an access touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TensorClass {
     /// Input feature maps (the previous layer's outputs, or the image).
     Ifmap,
@@ -27,7 +26,7 @@ pub enum TensorClass {
 }
 
 /// Direction of a tile transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessOp {
     /// DRAM → global buffer.
     Read,
@@ -36,7 +35,7 @@ pub enum AccessOp {
 }
 
 /// One tile transfer between the global buffer and DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileAccess {
     /// Tensor touched.
     pub tensor: TensorClass,
@@ -60,7 +59,7 @@ pub struct TileAccess {
 
 /// One schedule step: the tile transfers for one inner-loop iteration
 /// plus the compute work the PE array performs for it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Step {
     /// Transfers, in issue order (reads precede the write).
     pub accesses: Vec<TileAccess>,
@@ -69,7 +68,7 @@ pub struct Step {
 }
 
 /// Aggregate DRAM traffic for a layer under a schedule, in bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSummary {
     /// Ifmap bytes read.
     pub ifmap_read: u64,

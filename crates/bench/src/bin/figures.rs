@@ -1228,25 +1228,19 @@ fn throughput(quick: bool, check: bool, metrics: Option<&str>) {
 }
 
 fn serve_exp(quick: bool, check: bool) {
-    use seculator_core::{campaign_models, infer_plain, AdmitSpec, SessionManager, SessionVerdict};
+    use seculator_core::{
+        campaign_models, infer_plain, splitmix, AdmitSpec, SessionManager, SessionVerdict,
+    };
 
     println!("Multi-session scheduler sweep: each point admits N tenant sessions");
     println!("of the same model under a seeded open-loop arrival process (one");
-    println!("cumulative splitmix gap per tenant) and one shared weight Arc, so");
-    println!("same-layer tenants fuse into batched crypto lanes. Aggregate rate");
-    println!("counts every CTR pad issued (one pad = one 64 B block sealed or");
+    println!("cumulative splitmix gap per tenant) and one shared weight Arc.");
+    println!("Aggregate rate counts every CTR pad issued (one pad = one 64 B block sealed or");
     println!("opened); service latency (promotion→done) and scheduler queue");
     println!("delay (arrival→promotion) are separate distributions.\n");
 
-    // splitmix64: the arrival trace must be reproducible per point, so
-    // every rep of a point replays the same arrival rounds.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    // The arrival trace must be reproducible per point, so every rep of
+    // a point replays the same splitmix arrival rounds.
     const ARRIVAL_SEED: u64 = 0x5EC0_1A70;
 
     let reps: u32 = if quick { 6 } else { 32 };
@@ -1305,8 +1299,8 @@ fn serve_exp(quick: bool, check: bool) {
         let mut arrival = 0u64;
         for tenant in 0..n as u32 {
             // Open-loop arrivals: cumulative 0/1-round gaps, so bursts
-            // of same-layer tenants still align and fuse.
-            arrival += mix(&mut rng) % 2;
+            // of same-layer tenants still align.
+            arrival += splitmix(&mut rng) % 2;
             mgr.admit(AdmitSpec {
                 tenant,
                 name: model.name.to_string(),

@@ -6,10 +6,8 @@
 //! order. The equality tests here are exact, which makes the
 //! "every dataflow computes the same result" property airtight.
 
-use serde::{Deserialize, Serialize};
-
 /// A quantized 3-D tensor (`channel × row × col`, row-major `i8`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTensor3 {
     /// Channels.
     pub c: usize,
@@ -88,7 +86,7 @@ impl QTensor3 {
 }
 
 /// A quantized filter bank (`k × c × r × s`, `i8`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTensor4 {
     /// Output channels.
     pub k: usize,
@@ -146,7 +144,7 @@ impl QTensor4 {
 }
 
 /// A 32-bit accumulator plane for quantized convolution outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QAccum3 {
     /// Channels.
     pub k: usize,

@@ -20,10 +20,9 @@
 
 use crate::telemetry;
 use seculator_arch::trace::{AccessOp, LayerSchedule, TensorClass};
-use serde::{Deserialize, Serialize};
 
 /// One audit violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditFinding {
     /// An ofmap tile's final VN differs from κ.
     NonUniformFinalVn {
@@ -73,7 +72,7 @@ pub enum AuditFinding {
 }
 
 /// Result of auditing a full network mapping.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditReport {
     /// All violations found (empty = the mapping is safe to run under
     /// layer-level integrity).
@@ -229,7 +228,7 @@ pub fn audit_network(schedules: &[LayerSchedule]) -> AuditReport {
 /// A recovery action taken by the resilient inference driver
 /// ([`crate::secure_infer::infer_resilient`]) in response to a detected
 /// integrity breach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryAction {
     /// The consumer re-fetched the producer's output tensor from DRAM
     /// (recovers transient read corruption).
@@ -410,8 +409,8 @@ impl IncidentLog {
 
 /// Machine-readable recovery-ladder summary: retry counts per rung and
 /// the modeled latency each rung cost, serialized with
-/// [`LadderSummary::to_json`] for log pipelines (the serde shim in this
-/// offline build does not serialize, so the JSON is emitted directly).
+/// [`LadderSummary::to_json`] for log pipelines (the JSON is emitted
+/// directly; the workspace has no serialization dependency).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LadderSummary {
     /// Re-fetch recoveries taken.

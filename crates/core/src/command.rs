@@ -11,10 +11,9 @@
 use seculator_arch::pattern::PatternSpec;
 use seculator_crypto::keys::SessionKey;
 use seculator_crypto::sha256::Sha256;
-use serde::{Deserialize, Serialize};
 
 /// An instruction from the host scheduler to the NPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Command {
     /// Announce a model: number of layers, weight region base.
     LoadModel {
@@ -46,7 +45,7 @@ pub enum Command {
 }
 
 /// A command wrapped with its authentication envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuthenticatedCommand {
     /// The instruction.
     pub command: Command,

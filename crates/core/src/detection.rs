@@ -17,11 +17,10 @@
 
 use crate::engine::SchemeKind;
 use seculator_sim::stats::RunStats;
-use serde::{Deserialize, Serialize};
 
 /// Detection latency statistics for one (scheme, workload) pair, in
 /// cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionLatency {
     /// Expected cycles between a tamper of layer-`i` output data and its
     /// detection, averaged over a tamper uniformly distributed over the
@@ -103,7 +102,7 @@ pub fn detection_latency(scheme: SchemeKind, run: &RunStats) -> DetectionLatency
 
 /// Recovery-cost model for the detect-and-reboot strategy: on a breach
 /// the NPU reboots (fixed penalty) and re-executes from the start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryModel {
     /// Fixed reboot penalty in cycles (re-attestation, key refresh).
     pub reboot_cycles: u64,
@@ -156,7 +155,7 @@ impl RecoveryModel {
 /// ([`RecoveryModel::reboot_cycles`]). A re-fetch streams the producer's
 /// output tensor through the crypto pipeline once more; a re-execution
 /// additionally recomputes the layer and rewrites both tensor versions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryCost {
     /// Cycles per 64-byte block to re-fetch + decrypt + re-MAC.
     pub refetch_cycles_per_block: u64,

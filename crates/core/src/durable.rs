@@ -36,7 +36,7 @@
 //! checkpoint. Any prefix of that order is safe to crash out of.
 
 use crate::error::SecurityError;
-use crate::fault::{CrashClock, CrashPhase, PowerLoss};
+use crate::fault::{splitmix, CrashClock, CrashPhase, PowerLoss};
 use crate::journal::{
     campaign_models, CampaignModel, DurableState, JournalStore, PadTracker, RECORD_BYTES,
 };
@@ -1606,14 +1606,6 @@ impl RestartVfsReport {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Flips a payload byte of frame `frame_idx` and fixes the frame CRC —
 /// the deliberate-tamper adversary (shared with the property tests and
 /// the process campaign, which applies it via [`StdVfs`] files).
@@ -2072,7 +2064,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_tamper_is_refused_typed() {
+    fn manifest_tamper_gets_a_typed_refusal() {
         let m = model();
         let mut vfs = FaultVfs::new();
         let mut stats = PersistentStats::default();

@@ -19,10 +19,9 @@ use seculator_arch::trace::{AccessOp, TileAccess};
 use seculator_sim::cache::{Cache, CacheStats};
 use seculator_sim::config::NpuConfig;
 use seculator_sim::dram::{Dram, TrafficClass};
-use serde::{Deserialize, Serialize};
 
 /// The simulated designs of paper Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Unsecure accelerator (normalization reference).
     Baseline,

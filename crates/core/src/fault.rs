@@ -192,9 +192,11 @@ pub struct FaultInjector {
     injections: u64,
 }
 
-/// splitmix64 — tiny, deterministic, and plenty for picking bit
-/// positions.
-pub(crate) fn splitmix(state: &mut u64) -> u64 {
+/// One step of the splitmix64 stream — tiny, deterministic, and plenty
+/// for picking bit positions. The one copy every seeded campaign, the
+/// wire daemon and the restart harness draw from, so a seed means the
+/// same stream everywhere.
+pub fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

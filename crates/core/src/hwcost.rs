@@ -9,8 +9,6 @@
 //! *conclusion* that the added hardware is negligible (< 0.005 mm²,
 //! ≈ 0.7 mW total), which the model reproduces.
 
-use serde::{Deserialize, Serialize};
-
 /// NAND2-equivalent area at an 8 nm-class node, µm² per gate.
 /// (≈ 0.06 µm²/gate raw density, ×~4 for wiring/utilization overheads.)
 const UM2_PER_GATE: f64 = 0.24;
@@ -19,7 +17,7 @@ const UM2_PER_GATE: f64 = 0.24;
 const UW_PER_GATE: f64 = 0.04;
 
 /// One synthesized security module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModuleCost {
     /// Module name.
     pub name: &'static str,

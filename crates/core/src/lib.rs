@@ -52,8 +52,8 @@ pub use durable::{
 pub use engine::{make_engine, SchemeKind, SchemeTiming, TileSecurityCost};
 pub use error::SecurityError;
 pub use fault::{
-    run_campaign, AccessCtx, CampaignConfig, CampaignReport, CrashClock, CrashPhase, FaultInjector,
-    FaultKind, FaultSpec, Persistence, PowerLoss, TrialResult,
+    run_campaign, splitmix, AccessCtx, CampaignConfig, CampaignReport, CrashClock, CrashPhase,
+    FaultInjector, FaultKind, FaultSpec, Persistence, PowerLoss, TrialResult,
 };
 pub use functional::{Attack, FunctionalNpu, FunctionalReport};
 pub use journal::{

@@ -18,11 +18,10 @@
 //!   which the tests (and `figures`' `mea` experiment) quantify.
 
 use seculator_arch::trace::{AccessOp, LayerSchedule, TensorClass};
-use serde::{Deserialize, Serialize};
 
 /// What a memory-bus snooper observes for one layer: address-visible
 /// traffic volumes (contents are encrypted, addresses are not).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayerObservation {
     /// Bytes read from the ifmap region.
     pub ifmap_read_bytes: u64,
@@ -91,7 +90,7 @@ impl AddressTraceObserver {
 }
 
 /// The attacker's per-layer estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferredLayer {
     /// Estimated ofmap pixels (`K·H·W`) from final write volume.
     pub ofmap_pixels: u64,
@@ -140,7 +139,7 @@ pub fn extraction_error(inferred: &[InferredLayer], real_ofmap_pixels: &[u64]) -
 
 /// Summary of an attack-vs-defense experiment: how well extraction works
 /// against the plain network and against the obfuscated one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeaReport {
     /// Mean relative error against the undefended execution.
     pub error_undefended: f64,

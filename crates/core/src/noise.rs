@@ -9,10 +9,9 @@
 
 use crate::mea::LayerObservation;
 use seculator_arch::trace::LayerSchedule;
-use serde::{Deserialize, Serialize};
 
 /// Noise configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
     /// Dummy bytes added per real byte, on average (0.0 = off).
     pub ratio: f64,
@@ -34,7 +33,7 @@ impl NoiseConfig {
 
 /// What the bus observer sees for one layer once noise is injected, and
 /// what it cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoisyObservation {
     /// The observation including dummy traffic.
     pub observed: LayerObservation,

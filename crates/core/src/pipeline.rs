@@ -17,10 +17,9 @@ use crate::engine::SchemeKind;
 use crate::npu::TimingNpu;
 use seculator_models::Network;
 use seculator_sim::config::NpuConfig;
-use serde::{Deserialize, Serialize};
 
 /// Cost constants for batch execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Cycles to re-derive the session key and reset the MAC registers
     /// between inferences.
@@ -40,7 +39,7 @@ impl Default for PipelineConfig {
 }
 
 /// Result of a batched run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchStats {
     /// Scheme used.
     pub scheme: String,
@@ -155,7 +154,7 @@ pub fn paper_npu() -> TimingNpu {
 /// independently attacked with some probability, detection fires after
 /// the scheme's detection window, and the NPU reboots and retries
 /// ([`RecoveryModel`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostileBatchStats {
     /// The quiet-conditions stats the hostile run degrades from.
     pub quiet: BatchStats,

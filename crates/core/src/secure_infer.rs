@@ -18,8 +18,7 @@ use crate::fault::{AccessCtx, CrashClock, CrashPhase, FaultInjector, PowerLoss};
 use crate::journal::{DurableState, JournalRecord, JournalRecordKind, PadTracker};
 use crate::mac_verify::{EagerLayerVerifier, LayerMacVerifier};
 use crate::secure_memory::{
-    seal_lanes_fused, Block, BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, FusedLane,
-    UntrustedDram,
+    Block, BlockCoords, CryptoDatapath, DatapathCache, DatapathMode, UntrustedDram,
 };
 use crate::telemetry;
 use seculator_compute::quant::{qconv2d, qconv2d_grouped, QTensor3, QTensor4};
@@ -381,7 +380,8 @@ pub struct ResilientRun {
 /// output was released, and the full audit record explains why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbortReport {
-    /// The terminal error (always [`SecurityError::RecoveryExhausted`]).
+    /// The terminal error: [`SecurityError::RecoveryExhausted`] when the
+    /// ladder ran out, otherwise the fail-closed stop that ended the run.
     pub error: SecurityError,
     /// Every detection + recovery action up to and including the abort.
     pub incidents: IncidentLog,
@@ -456,14 +456,19 @@ fn load_via(
 /// and therefore *layer-local* recovery possible, at the cost of one
 /// extra tensor round trip per layer versus the deferred scheme.
 ///
+/// This is [`infer_journaled`] on a fresh in-RAM journal with no crash
+/// clock: an empty journal opens nonce epoch 0 at the same base address,
+/// so the ladder above is `step_journaled_layer`'s, block for block.
+///
 /// `injector` interposes the adversary of [`crate::fault`] on every
 /// DRAM access; pass `None` for a clean (but still fully verified) run.
 ///
 /// # Errors
 ///
 /// Returns the boxed [`AbortReport`] when a breach persisted through
-/// every recovery avenue. Detection of *recoverable* faults is not an
-/// error — it is recorded in [`ResilientRun::incidents`].
+/// every recovery avenue (or, never on an honest host, a fail-closed
+/// pad-reuse stop). Detection of *recoverable* faults is not an error —
+/// it is recorded in [`ResilientRun::incidents`].
 pub fn infer_resilient(
     layers: &[QConvLayer],
     input: &QTensor3,
@@ -471,224 +476,45 @@ pub fn infer_resilient(
     secret: DeviceSecret,
     nonce: u64,
     policy: &RecoveryPolicy,
-    mut injector: Option<&mut FaultInjector>,
+    injector: Option<&mut FaultInjector>,
 ) -> Result<ResilientRun, Box<AbortReport>> {
-    let datapath = CryptoDatapath::new(secret, nonce);
-    let mut dram = UntrustedDram::new();
-    let mut incidents = IncidentLog::new();
-    let mut activ = input.clone();
-    let mut base_addr = 0x1_0000u64;
-    let mut max_layer_blocks = 0u64;
-
-    for (li, layer) in layers.iter().enumerate() {
-        let li = li as u32;
-        // Split the channel groups into a head (written as the partial
-        // version) and the rest (folded in for the final version). A
-        // single-group layer writes its full result as the "partial" and
-        // folds in nothing.
-        let groups = &layer.channel_groups;
-        let (head, rest) = if groups.len() > 1 {
-            groups.split_at(1)
-        } else {
-            (&groups[..], &[][..])
-        };
-
-        let mut layer_refetches = 0u32;
-        let mut attempt = 0u32;
-        let verified_blocks = loop {
-            // Fresh VN base and fresh MAC registers per attempt: stale
-            // ciphertext from a failed attempt can never authenticate.
-            let v_part = attempt * 2 + 1;
-            let v_full = attempt * 2 + 2;
-            let mut lv = EagerLayerVerifier::new();
-
-            // Pass 1: compute + evict the partial accumulation. The pure
-            // encrypt+MAC work is batched up front (fanning out in
-            // parallel mode); the injector-visible stores then run in
-            // the original block order.
-            let partial = qconv2d_grouped(&activ, &layer.weights, layer.stride, head);
-            let (k, h, w) = (partial.k, partial.h, partial.w);
-            let pblocks = accum_to_blocks(&partial);
-            let nblocks = pblocks.len() as u64;
-            let pcoords = tile_coords(li, li, v_part, pblocks.len());
-            let sealed = datapath.seal_blocks(&pcoords, &pblocks);
-            for (i, (ct, mac)) in sealed.into_iter().enumerate() {
-                let ctx = AccessCtx {
-                    layer: li,
-                    block: i as u64,
-                    blocks: nblocks,
-                    base: base_addr,
-                    final_version: false,
-                    attempt,
-                };
-                store_via(
-                    &mut injector,
-                    &mut dram,
-                    base_addr + i as u64 * 64,
-                    ct,
-                    &ctx,
-                );
-                lv.on_write(&mac);
-            }
-
-            // Read the partial back (ordinary reads — they balance the
-            // partial writes in the MAC equation) and fold in the
-            // remaining channel groups. Loads stay sequential (the
-            // injector sees them in order); decrypt+MAC is batched.
-            let mut part_ct = Vec::with_capacity(pblocks.len());
-            for i in 0..pblocks.len() {
-                let ctx = AccessCtx {
-                    layer: li,
-                    block: i as u64,
-                    blocks: nblocks,
-                    base: base_addr,
-                    final_version: false,
-                    attempt,
-                };
-                part_ct.push(load_via(
-                    &mut injector,
-                    &dram,
-                    base_addr + i as u64 * 64,
-                    &ctx,
-                ));
-            }
-            let mut part_rd = Vec::with_capacity(pblocks.len());
-            for (pt, mac) in datapath.open_blocks(&pcoords, &part_ct) {
-                lv.on_read(&mac);
-                part_rd.push(pt);
-            }
-            let partial_back = blocks_to_accum(&part_rd, k, h, w);
-            let mut full = qconv2d_grouped(&activ, &layer.weights, layer.stride, rest);
-            for kk in 0..k {
-                for y in 0..h {
-                    for x in 0..w {
-                        *full.at_mut(kk, y, x) =
-                            full.get(kk, y, x).wrapping_add(partial_back.get(kk, y, x));
-                    }
-                }
-            }
-
-            // Pass 2: evict the final version at the same addresses.
-            let fblocks = accum_to_blocks(&full);
-            let fcoords = tile_coords(li, li, v_full, fblocks.len());
-            let sealed = datapath.seal_blocks(&fcoords, &fblocks);
-            for (i, (ct, mac)) in sealed.into_iter().enumerate() {
-                let ctx = AccessCtx {
-                    layer: li,
-                    block: i as u64,
-                    blocks: nblocks,
-                    base: base_addr,
-                    final_version: true,
-                    attempt,
-                };
-                // The on-chip register absorbs the MAC at issue time even
-                // if the adversary drops the write on its way to DRAM.
-                lv.on_write(&mac);
-                store_via(
-                    &mut injector,
-                    &mut dram,
-                    base_addr + i as u64 * 64,
-                    ct,
-                    &ctx,
-                );
-            }
-
-            // The adversary's window: the tensor now sits in hostile DRAM.
-            if let Some(inj) = injector.as_deref_mut() {
-                inj.tamper_stored(&mut dram, li, attempt, base_addr, nblocks, &mut lv);
-            }
-
-            // Consume: first-read the final version, closing the layer's
-            // equation *before* its data feeds the next layer. On a bad
-            // check, re-fetch up to the policy bound.
-            let mut refetches_this_attempt = 0u32;
-            let consumed = loop {
-                lv.reset_first_reads();
-                let mut cts = Vec::with_capacity(fblocks.len());
-                for i in 0..fblocks.len() {
-                    let ctx = AccessCtx {
-                        layer: li,
-                        block: i as u64,
-                        blocks: nblocks,
-                        base: base_addr,
-                        final_version: true,
-                        attempt,
-                    };
-                    cts.push(load_via(
-                        &mut injector,
-                        &dram,
-                        base_addr + i as u64 * 64,
-                        &ctx,
-                    ));
-                }
-                let mut rd = Vec::with_capacity(fblocks.len());
-                for (pt, mac) in datapath.open_blocks(&fcoords, &cts) {
-                    lv.on_first_read(&mac);
-                    rd.push(pt);
-                }
-                if lv.check().is_verified() {
-                    break Some(rd);
-                }
-                if refetches_this_attempt < policy.max_refetches {
-                    refetches_this_attempt += 1;
-                    layer_refetches += 1;
-                    incidents.push(IncidentRecord {
-                        layer_id: li,
-                        attempt,
-                        action: RecoveryAction::Refetch,
-                        cause: SecurityError::LayerIntegrity { layer_id: li },
-                    });
-                    continue;
-                }
-                break None;
-            };
-
-            match consumed {
-                Some(rd) => {
-                    activ = requantize_shift(&blocks_to_accum(&rd, k, h, w), shift);
-                    max_layer_blocks = max_layer_blocks.max(nblocks);
-                    base_addr += nblocks * 64;
-                    break rd;
-                }
-                None if attempt < policy.max_reexecutions => {
-                    incidents.push(IncidentRecord {
-                        layer_id: li,
-                        attempt,
-                        action: RecoveryAction::ReExecute,
-                        cause: SecurityError::LayerIntegrity { layer_id: li },
-                    });
-                    attempt += 1;
-                }
-                None => {
-                    let error = SecurityError::RecoveryExhausted {
-                        layer_id: li,
-                        refetches: layer_refetches,
-                        reexecutions: attempt,
-                    };
-                    incidents.push(IncidentRecord {
-                        layer_id: li,
-                        attempt,
-                        action: RecoveryAction::Abort,
-                        cause: error.clone(),
-                    });
-                    return Err(Box::new(AbortReport {
-                        error,
-                        incidents,
-                        max_layer_blocks: max_layer_blocks.max(nblocks),
-                    }));
-                }
-            }
-        };
-        // `activ` was already advanced from the verified blocks above;
-        // `verified_blocks` only pins the loop's break type.
-        let _ = verified_blocks;
+    let session = SecureSession {
+        secret,
+        nonce,
+        shift,
+        policy: *policy,
+    };
+    let mut tracker = PadTracker::new();
+    let mut instruments = Instruments {
+        tracker: &mut tracker,
+        injector,
+        clock: None,
+    };
+    let stopped = |error: SecurityError| {
+        Box::new(AbortReport {
+            error,
+            incidents: IncidentLog::new(),
+            max_layer_blocks: 0,
+        })
+    };
+    match infer_journaled(
+        layers,
+        input,
+        &session,
+        &mut DurableState::default(),
+        &mut instruments,
+    ) {
+        Ok(run) => Ok(ResilientRun {
+            output: run.output,
+            incidents: run.incidents,
+            max_layer_blocks: run.max_layer_blocks,
+        }),
+        Err(JournaledError::Aborted(report)) => Err(report),
+        Err(JournaledError::Security(error)) => Err(stopped(error)),
+        Err(JournaledError::Crashed(loss)) => Err(stopped(SecurityError::PowerInterrupted {
+            layer_id: loss.layer,
+        })),
     }
-
-    Ok(ResilientRun {
-        output: activ,
-        incidents,
-        max_layer_blocks,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -913,105 +739,17 @@ pub(crate) fn open_journaled_cursor(
     ))
 }
 
-/// Precomputed pure work for one tenant lane of a fused cross-tenant
-/// layer step: both channel-group convolutions over the lane's resident
-/// activations and the sealed `v_part = 1` partial tile, exactly as
-/// attempt 0 of [`step_journaled_layer_prepared`] would compute them in
-/// place. Everything here is a pure function of the cursor state
-/// (activations, layer weights, per-tenant datapath), so consuming it
-/// is bit-identical to recomputing it — and re-executions
-/// (`attempt > 0`) always recompute, because their version numbers
-/// differ and no pad may ever be generated twice.
-#[derive(Debug)]
-pub(crate) struct FusedPrework {
-    partial: seculator_compute::quant::QAccum3,
-    rest: seculator_compute::quant::QAccum3,
-    sealed: Vec<(Block, [u8; 32])>,
-}
-
-/// Fuses the pure prework of one layer step across tenant lanes that
-/// share a weight set and sit at the same layer: a fused convolution
-/// sweep (one scoped thread per lane when workers are available)
-/// followed by the fused first seal through
-/// [`seal_lanes_fused`]. *Compute fuses; nothing cryptographic does* —
-/// each lane seals under its own datapath (keys, nonce space), and each
-/// lane's telemetry spans carry its own tenant tag. The stateful
-/// machinery (crash ticks, pad tracking, injector-visible stores, MAC
-/// registers, journal appends) is untouched here; it runs inside the
-/// per-tenant step exactly as it would solo.
-pub(crate) fn prepare_fused_layer(
-    layers: &[QConvLayer],
-    lanes: &[(u64, &JournaledCursor)],
-) -> Vec<FusedPrework> {
-    let Some(&(_, first)) = lanes.first() else {
-        return Vec::new();
-    };
-    let li = first.next_layer;
-    let Some(layer) = layers.get(li as usize) else {
-        return Vec::new();
-    };
-    debug_assert!(
-        lanes.iter().all(|&(_, c)| c.next_layer == li),
-        "fused lanes must sit at the same layer"
-    );
-    let groups = &layer.channel_groups;
-    let (head, rest_groups) = if groups.len() > 1 {
-        groups.split_at(1)
-    } else {
-        (&groups[..], &[][..])
-    };
-    let conv_lane = |&(tenant, cursor): &(u64, &JournaledCursor)| {
-        let _scope = telemetry::tenant_scope(tenant);
-        let partial = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, head);
-        let rest = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest_groups);
-        let pblocks = accum_to_blocks(&partial);
-        let pcoords = tile_coords(li, li, 1, pblocks.len());
-        (partial, rest, pcoords, pblocks)
-    };
-    let conv: Vec<_> = if lanes.len() < 2 || rayon::current_num_threads() <= 1 {
-        lanes.iter().map(conv_lane).collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = lanes
-                .iter()
-                .map(|lane| s.spawn(|| conv_lane(lane)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fused conv lane panicked"))
-                .collect()
-        })
-    };
-    let seal_lanes: Vec<FusedLane<'_>> = lanes
-        .iter()
-        .zip(conv.iter())
-        .map(|(&(tenant, cursor), (_, _, pcoords, pblocks))| FusedLane {
-            datapath: &cursor.datapath,
-            tenant,
-            key: u64::from(li),
-            coords: pcoords,
-            blocks: pblocks,
-        })
-        .collect();
-    let sealed = seal_lanes_fused(&seal_lanes);
-    conv.into_iter()
-        .zip(sealed)
-        .map(|((partial, rest, _, _), sealed)| FusedPrework {
-            partial,
-            rest,
-            sealed,
-        })
-        .collect()
-}
-
-/// Executes and commits exactly one layer of a journaled run —
-/// [`infer_resilient`]'s two-version write plan and recovery ladder,
-/// plus (a) a [`CrashClock`] tick on every stateful step, (b) the
+/// Executes and commits exactly one layer of a journaled run — the one
+/// place a protected layer runs with recovery. It carries the
+/// two-version write plan and recovery ladder described on
+/// [`infer_resilient`], plus (a) a [`CrashClock`] tick on every
+/// stateful step, (b) the
 /// [`PadTracker`] check on every encryption, and (c) one sealed
 /// [`JournalRecord`] appended at the verified layer boundary — the
 /// commit point after which a crash costs at most the *next* layer's
 /// work. On success the cursor advances to the next layer; on abort the
 /// incident log travels out inside the report and the cursor is spent.
+#[allow(clippy::too_many_lines)]
 pub(crate) fn step_journaled_layer(
     layers: &[QConvLayer],
     session: &SecureSession,
@@ -1019,27 +757,14 @@ pub(crate) fn step_journaled_layer(
     durable: &mut DurableState,
     instruments: &mut Instruments<'_>,
 ) -> Result<(), JournaledError> {
-    step_journaled_layer_prepared(layers, session, cursor, durable, instruments, None)
-}
-
-/// [`step_journaled_layer`] with optional [`FusedPrework`] from a
-/// cross-tenant fused batch. The prework is a cache of attempt 0's pure
-/// computations and is consumed only there; the recovery ladder and all
-/// stateful machinery run unchanged, so a lane that refetches,
-/// re-executes, crashes, or aborts behaves exactly as it would solo.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn step_journaled_layer_prepared(
-    layers: &[QConvLayer],
-    session: &SecureSession,
-    cursor: &mut JournaledCursor,
-    durable: &mut DurableState,
-    instruments: &mut Instruments<'_>,
-    mut prework: Option<FusedPrework>,
-) -> Result<(), JournaledError> {
     let li = cursor.next_layer;
     let Some(layer) = layers.get(li as usize) else {
         return Ok(());
     };
+    // Split the channel groups into a head (written as the partial
+    // version) and the rest (folded in for the final version). A
+    // single-group layer writes its full result as the "partial" and
+    // folds in nothing.
     let groups = &layer.channel_groups;
     let (head, rest) = if groups.len() > 1 {
         groups.split_at(1)
@@ -1050,15 +775,10 @@ pub(crate) fn step_journaled_layer_prepared(
     let mut layer_refetches = 0u32;
     let mut attempt = 0u32;
     loop {
+        // Fresh VN base and fresh MAC registers per attempt: stale
+        // ciphertext from a failed attempt can never authenticate.
         let v_part = attempt * 2 + 1;
         let v_full = attempt * 2 + 2;
-        // Prework caches attempt 0's pure results only; any re-execution
-        // recomputes from scratch under its own fresh version numbers.
-        let pre = if attempt == 0 { prework.take() } else { None };
-        let (pre_partial, pre_rest, pre_sealed) = match pre {
-            Some(p) => (Some(p.partial), Some(p.rest), Some(p.sealed)),
-            None => (None, None, None),
-        };
         let mut lv = EagerLayerVerifier::new();
 
         // One interruptible instant per output channel: a power cut
@@ -1067,8 +787,7 @@ pub(crate) fn step_journaled_layer_prepared(
             tick(&mut instruments.clock, li, CrashPhase::Compute)
                 .map_err(JournaledError::Crashed)?;
         }
-        let partial = pre_partial
-            .unwrap_or_else(|| qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, head));
+        let partial = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, head);
         let (k, h, w) = (partial.k, partial.h, partial.w);
         let pblocks = accum_to_blocks(&partial);
         let nblocks = pblocks.len() as u64;
@@ -1082,17 +801,9 @@ pub(crate) fn step_journaled_layer_prepared(
         // Stage spans attribute wall time to this layer in the
         // telemetry event ring — the substrate of the per-layer
         // breakdown in `figures throughput` and `--metrics` dumps.
-        // The fused path already sealed this exact tile (and emitted the
-        // seal span under this tenant's tag) in `prepare_fused_layer`.
-        let sealed = match pre_sealed {
-            Some(s) => {
-                debug_assert_eq!(s.len(), pblocks.len(), "prework tile must match");
-                s
-            }
-            None => {
-                let _stage = telemetry::stage_span("seal", u64::from(li));
-                cursor.datapath.seal_blocks(&pcoords, &pblocks)
-            }
+        let sealed = {
+            let _stage = telemetry::stage_span("seal", u64::from(li));
+            cursor.datapath.seal_blocks(&pcoords, &pblocks)
         };
         for (i, (ct, mac)) in sealed.into_iter().enumerate() {
             tick(&mut instruments.clock, li, CrashPhase::PartialEvict)
@@ -1151,13 +862,15 @@ pub(crate) fn step_journaled_layer_prepared(
                 part_rd.push(pt);
             }
         }
+        // The partial was read back with ordinary reads (they balance
+        // the partial writes in the MAC equation); fold in the
+        // remaining channel groups.
         let partial_back = blocks_to_accum(&part_rd, k, h, w);
         for _ in 0..layer.weights.k.max(1) {
             tick(&mut instruments.clock, li, CrashPhase::Compute)
                 .map_err(JournaledError::Crashed)?;
         }
-        let mut full = pre_rest
-            .unwrap_or_else(|| qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest));
+        let mut full = qconv2d_grouped(&cursor.activ, &layer.weights, layer.stride, rest);
         for kk in 0..k {
             for y in 0..h {
                 for x in 0..w {
@@ -1188,6 +901,8 @@ pub(crate) fn step_journaled_layer_prepared(
                 final_version: true,
                 attempt,
             };
+            // The on-chip register absorbs the MAC at issue time even
+            // if the adversary drops the write on its way to DRAM.
             lv.on_write(&mac);
             store_via(
                 &mut instruments.injector,
@@ -1198,6 +913,7 @@ pub(crate) fn step_journaled_layer_prepared(
             );
         }
 
+        // The adversary's window: the tensor now sits in hostile DRAM.
         if let Some(inj) = instruments.injector.as_deref_mut() {
             inj.tamper_stored(
                 &mut durable.dram,
@@ -1209,6 +925,9 @@ pub(crate) fn step_journaled_layer_prepared(
             );
         }
 
+        // Consume: first-read the final version, closing the layer's
+        // equation *before* its data feeds the next layer. On a bad
+        // check, re-fetch up to the policy bound.
         let mut refetches_this_attempt = 0u32;
         let consumed = loop {
             lv.reset_first_reads();

@@ -71,9 +71,9 @@ use crate::fault::{
 use crate::journal::{campaign_models, CampaignModel, DurableState, PadTracker};
 use crate::retry::{RobustnessPolicy, SheddingPolicy};
 use crate::secure_infer::{
-    infer_journaled, infer_plain, open_journaled_cursor, open_resume_cursor, prepare_fused_layer,
-    step_journaled_layer_prepared, FusedPrework, Instruments, JournaledCursor, JournaledError,
-    JournaledRun, QConvLayer, RecoveryPolicy, SecureSession,
+    infer_journaled, infer_plain, open_journaled_cursor, open_resume_cursor, step_journaled_layer,
+    Instruments, JournaledCursor, JournaledError, JournaledRun, QConvLayer, RecoveryPolicy,
+    SecureSession,
 };
 use crate::secure_memory::{BlockCoords, DatapathCache};
 use crate::telemetry::{self, Counter, LayerRow};
@@ -514,9 +514,9 @@ pub struct ServeReport {
     /// `telemetry` feature is off.
     pub session_rows: Vec<LayerRow>,
     /// Exact wall nanoseconds of pre-step scheduler bookkeeping summed
-    /// over every round (arrivals, sweeps, wakes, admission, fusion
-    /// planning) — the overhead that grows with session count and was
-    /// previously folded invisibly into service latency.
+    /// over every round (arrivals, sweeps, wakes, admission) — the
+    /// overhead that grows with session count and was previously folded
+    /// invisibly into service latency.
     pub scheduler_ns: u64,
 }
 
@@ -563,8 +563,8 @@ pub struct SessionManager {
     /// repeat submissions, and re-admissions alike.
     lifetime_ledger: PadLedger,
     /// Exact scheduler-overhead accumulator: wall nanoseconds spent per
-    /// round on arrivals, budget sweeps, backoff wakes, admission, and
-    /// fusion planning — everything *before* tenant layer steps run.
+    /// round on arrivals, budget sweeps, backoff wakes, and admission —
+    /// everything *before* tenant layer steps run.
     /// Kept as a plain field (not only a telemetry span) so the serve
     /// sweep can report it with the `telemetry` feature compiled out.
     scheduler_ns: u64,
@@ -772,10 +772,10 @@ impl SessionManager {
 
         // Scheduler-overhead accounting: everything from here to the
         // step fan-out is bookkeeping the tenants never see — arrivals,
-        // budget sweeps, backoff wakes, admission, fusion planning. It
-        // grows with the session count, so the serve sweep reports it
-        // separately instead of silently folding it into service
-        // latency (the 8→64-session blocks/sec droop lives here).
+        // budget sweeps, backoff wakes, admission. It grows with the
+        // session count, so the serve sweep reports it separately
+        // instead of silently folding it into service latency (the
+        // 8→64-session blocks/sec droop lives here).
         let sched_start = Instant::now();
         let sched_span = telemetry::stage_span("scheduler", round);
 
@@ -816,19 +816,17 @@ impl SessionManager {
         }
 
         // Service: one layer step per running session per round. The
-        // fusion plan precomputes cross-tenant batches (same weights,
-        // same layer), then the fan-out steps tenants concurrently —
-        // contiguous chunks, chunk-local stats folded back in chunk
-        // order, so every worker count produces identical state.
-        let mut preworks = self.plan_fusion();
+        // fan-out steps tenants concurrently — contiguous chunks,
+        // chunk-local stats folded back in chunk order, so every worker
+        // count produces identical state.
         drop(sched_span);
         self.scheduler_ns = self
             .scheduler_ns
             .saturating_add(u64::try_from(sched_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         let workers = self.step_workers.min(self.tenants.len()).max(1);
         if workers <= 1 {
-            for (t, pre) in self.tenants.iter_mut().zip(&mut preworks) {
-                Self::step_tenant(t, &policy, &mut self.stats, round, &mut faulty, pre.take());
+            for t in &mut self.tenants {
+                Self::step_tenant(t, &policy, &mut self.stats, round, &mut faulty);
             }
         } else {
             let per = self.tenants.len().div_ceil(workers);
@@ -836,19 +834,17 @@ impl SessionManager {
                 let handles: Vec<_> = self
                     .tenants
                     .chunks_mut(per)
-                    .zip(preworks.chunks_mut(per))
-                    .map(|(chunk, pres)| {
+                    .map(|chunk| {
                         s.spawn(move || {
                             let mut local_stats = RobustStats::default();
                             let mut local_faulty = false;
-                            for (t, pre) in chunk.iter_mut().zip(pres.iter_mut()) {
+                            for t in chunk {
                                 Self::step_tenant(
                                     t,
                                     &policy,
                                     &mut local_stats,
                                     round,
                                     &mut local_faulty,
-                                    pre.take(),
                                 );
                             }
                             (local_stats, local_faulty)
@@ -870,66 +866,6 @@ impl SessionManager {
             self.update_shedding(shed, faulty);
         }
         true
-    }
-
-    /// Plans cross-tenant batching for this round: running tenants that
-    /// share one `Arc`'d weight set *and* sit at the same layer form a
-    /// fused group whose pure prework (both convolutions + the first
-    /// seal) is computed in one multi-lane sweep. Per-tenant security
-    /// state — MAC registers, VN-FSM, journal, nonce space, pad
-    /// tracking — never fuses; it runs inside each tenant's own step.
-    /// Returns one optional prework slot per tenant position.
-    fn plan_fusion(&self) -> Vec<Option<FusedPrework>> {
-        let n = self.tenants.len();
-        let mut preworks: Vec<Option<FusedPrework>> = (0..n).map(|_| None).collect();
-        let mut grouped = vec![false; n];
-        for i in 0..n {
-            if grouped[i] {
-                continue;
-            }
-            let TenantState::Running(ci) = &self.tenants[i].state else {
-                continue;
-            };
-            let key = (
-                Arc::as_ptr(&self.tenants[i].layers).cast::<()>(),
-                ci.next_layer(),
-            );
-            let mut idxs = vec![i];
-            for (j, seen) in grouped.iter().enumerate().skip(i + 1) {
-                if *seen {
-                    continue;
-                }
-                let TenantState::Running(cj) = &self.tenants[j].state else {
-                    continue;
-                };
-                if (
-                    Arc::as_ptr(&self.tenants[j].layers).cast::<()>(),
-                    cj.next_layer(),
-                ) == key
-                {
-                    idxs.push(j);
-                }
-            }
-            if idxs.len() < 2 {
-                continue;
-            }
-            let lanes: Vec<(u64, &JournaledCursor)> = idxs
-                .iter()
-                .map(|&j| {
-                    let t = &self.tenants[j];
-                    let TenantState::Running(c) = &t.state else {
-                        unreachable!("fusion group members are running");
-                    };
-                    (u64::from(t.id), c.as_ref())
-                })
-                .collect();
-            let pre = prepare_fused_layer(&self.tenants[i].layers, &lanes);
-            for (&j, p) in idxs.iter().zip(pre) {
-                preworks[j] = Some(p);
-                grouped[j] = true;
-            }
-        }
-        preworks
     }
 
     /// Deadline budget and watchdog checks for one promoted tenant —
@@ -1185,7 +1121,6 @@ impl SessionManager {
         stats: &mut RobustStats,
         round: u64,
         faulty: &mut bool,
-        prework: Option<FusedPrework>,
     ) {
         let mut cursor = match std::mem::replace(&mut t.state, TenantState::Queued) {
             TenantState::Running(c) => c,
@@ -1201,13 +1136,12 @@ impl SessionManager {
                 injector: t.injector.as_mut(),
                 clock: t.clock.as_mut(),
             };
-            step_journaled_layer_prepared(
+            step_journaled_layer(
                 &t.layers,
                 &t.session,
                 &mut cursor,
                 &mut t.durable,
                 &mut instruments,
-                prework,
             )
         };
         t.rounds_serviced += 1;
@@ -1651,8 +1585,8 @@ impl SessionManager {
     }
 
     /// Exact wall nanoseconds the scheduler spent on pre-step
-    /// bookkeeping (arrivals, sweeps, wakes, admission, fusion
-    /// planning) across every round so far.
+    /// bookkeeping (arrivals, sweeps, wakes, admission) across every
+    /// round so far.
     #[must_use]
     pub fn scheduler_ns(&self) -> u64 {
         self.scheduler_ns
@@ -2845,7 +2779,7 @@ mod tests {
         assert_eq!(report.sessions_quarantined, 0);
     }
 
-    // -- parallel scheduler + fusion + sharded ledger -----------------------
+    // -- parallel scheduler + sharded ledger --------------------------------
 
     #[test]
     fn scheduled_outputs_are_bit_identical_for_any_worker_count() {
@@ -2879,11 +2813,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_same_model_tenants_match_their_solo_runs() {
+    fn same_model_tenants_match_their_solo_runs() {
         // Three tenants share one Arc'd weight set and arrive together,
-        // so every round fuses their layer steps; one of them carries a
-        // relentless adversary, which must fall out of the fused happy
-        // path through the ordinary ladder and abort — without
+        // so every round steps them at the same layer; one of them
+        // carries a relentless adversary, which must fall out of the
+        // happy path through the ordinary ladder and abort — without
         // disturbing its batch-mates' bit-identity.
         let models = campaign_models();
         let m = &models[0];
@@ -2936,9 +2870,9 @@ mod tests {
                 )
                 .expect("solo run completes");
                 assert_eq!(
-                    o.output().expect("clean fused tenant completes"),
+                    o.output().expect("clean shared-model tenant completes"),
                     &solo.output,
-                    "workers={workers} tenant={t} fused output diverged from solo"
+                    "workers={workers} tenant={t} output diverged from solo"
                 );
             }
             let tampered = report.outcomes.iter().find(|o| o.tenant == 1).unwrap();

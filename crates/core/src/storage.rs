@@ -9,10 +9,9 @@
 //! registers) — independent of model size, which is the point.
 
 use seculator_arch::trace::LayerSchedule;
-use serde::{Deserialize, Serialize};
 
 /// Metadata footprint of one design for one workload, in bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageFootprint {
     /// Version-number / counter state.
     pub vn_bytes: u64,

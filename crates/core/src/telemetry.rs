@@ -675,8 +675,8 @@ impl Snapshot {
     /// Serializes to the stable `seculator-telemetry-v1` JSON schema.
     ///
     /// Every name is a fixed ASCII identifier and every value a bare
-    /// number, so the encoding is hand-rolled (the workspace's serde is
-    /// an offline shim that does not serialize).
+    /// number, so the encoding is hand-rolled (the workspace has no
+    /// serialization dependency).
     #[must_use]
     pub fn to_json(&self) -> String {
         let counters = self

@@ -2,11 +2,10 @@
 //! (the paper's Table 1 reports layer and parameter counts per benchmark).
 
 use seculator_arch::layer::{LayerDesc, LayerKind};
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward network: layers executed in order, each layer consuming
 /// the previous layer's output feature maps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     /// Human-readable name ("VGG16", …).
     pub name: String,

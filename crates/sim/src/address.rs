@@ -3,10 +3,8 @@
 //! region of the simulated DRAM, so metadata caches can be exercised with
 //! realistic line addresses.
 
-use serde::{Deserialize, Serialize};
-
 /// A contiguous, block-aligned DRAM region backing one tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorRegion {
     /// Stable identity used in MACs / counters (`F` in the paper).
     pub fmap_id: u32,

@@ -4,10 +4,8 @@
 //! The model tracks tags and dirty bits only — contents are irrelevant to
 //! timing — and reports hit/miss/writeback statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

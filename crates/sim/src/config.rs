@@ -3,10 +3,8 @@
 //! results is gathered here and documented so EXPERIMENTS.md can point at
 //! a single calibration surface.
 
-use serde::{Deserialize, Serialize};
-
 /// DRAM timing/bandwidth parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Access latency in NPU cycles for the first beat of a burst
     /// (Table 1: "Dual-channel DRAM DDR 4, 100 cyc (lat)").
@@ -26,7 +24,7 @@ impl Default for DramConfig {
 }
 
 /// Full NPU configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NpuConfig {
     /// Systolic array rows (Table 1: 32).
     pub pe_rows: u32,

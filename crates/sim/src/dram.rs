@@ -3,10 +3,9 @@
 //! paper Figure 8 plots).
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate DRAM traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Data bytes read (feature maps and weights).
     pub data_read_bytes: u64,

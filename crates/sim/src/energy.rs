@@ -6,7 +6,6 @@
 //! energy, because off-chip transfers dominate accelerator energy.
 
 use crate::stats::RunStats;
-use serde::{Deserialize, Serialize};
 
 /// Energy cost coefficients (picojoules), first-order numbers typical of
 /// a 7–8 nm accelerator with off-chip DDR4.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let empty = RunStats::default();
 /// assert_eq!(model.estimate(&empty, 0, false).total_pj(), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// DRAM transfer energy per byte (≈ 20 pJ/B for DDR4 I/O + core).
     pub dram_pj_per_byte: f64,
@@ -49,7 +48,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy breakdown of one run, in picojoules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Data movement over the DRAM bus.
     pub dram_data_pj: f64,

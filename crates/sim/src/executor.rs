@@ -7,10 +7,8 @@
 //! `max(compute, memory) + exposed_security`, the classic double-buffer
 //! bound, summed over steps.
 
-use serde::{Deserialize, Serialize};
-
 /// The cycle cost components of one schedule step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepCost {
     /// PE-array busy cycles.
     pub compute: u64,
@@ -50,7 +48,7 @@ impl StepCost {
 /// t.charge(StepCost { compute: 100, memory: 60, exposed_security: 5 });
 /// assert_eq!(t.total_cycles(), 105, "max(compute, memory) + exposed");
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayerTimer {
     total_cycles: u64,
     compute_cycles: u64,

@@ -4,10 +4,8 @@
 //! `resident_bytes` check enforces statically, validated dynamically
 //! here.
 
-use serde::{Deserialize, Serialize};
-
 /// Operand classes with separate buffer partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufferClass {
     /// Input feature-map tiles.
     Ifmap,
@@ -18,7 +16,7 @@ pub enum BufferClass {
 }
 
 /// Occupancy statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// Peak bytes resident at any instant.
     pub peak_bytes: u64,

@@ -8,10 +8,8 @@
 //! cover realistic metadata caches) and lumped beyond it, keeping the
 //! analysis linear-ish on streaming traces whose reuse is mostly cold.
 
-use serde::{Deserialize, Serialize};
-
 /// Histogram of LRU stack distances.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReuseHistogram {
     /// `buckets[d]` = number of accesses with stack distance exactly `d`
     /// (0 = re-access of the most recently used line).

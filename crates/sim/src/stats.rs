@@ -4,10 +4,9 @@
 
 use crate::cache::CacheStats;
 use crate::dram::DramStats;
-use serde::{Deserialize, Serialize};
 
 /// Statistics for one layer's execution under one security scheme.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LayerStats {
     /// Layer id.
     pub layer_id: u32,
@@ -25,7 +24,7 @@ pub struct LayerStats {
 }
 
 /// Statistics for one full network inference.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Scheme name ("baseline", "seculator", …).
     pub scheme: String,

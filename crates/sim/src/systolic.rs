@@ -3,10 +3,9 @@
 //! simulator was validated against).
 
 use crate::config::NpuConfig;
-use serde::{Deserialize, Serialize};
 
 /// Compute-cycle accounting for a layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ComputeStats {
     /// Cycles the PE array was busy.
     pub busy_cycles: u64,

@@ -21,7 +21,8 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::auth::splitmix;
+use seculator_core::splitmix;
+
 use crate::daemon::{Daemon, DaemonConfig};
 use crate::frame::{decode_frame, encode_frame, WireError};
 use crate::msg::Message;

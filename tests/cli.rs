@@ -53,6 +53,29 @@ fn fault_campaign_subcommand_passes_and_is_deterministic() {
     assert_eq!(stdout, again, "same seed, same report");
 }
 
+/// Pins the recovery ladder's outcomes for one seed: every rung count
+/// and the modeled latency of `fault-campaign --seed 42 --faults 300`.
+/// Any change to the layer-step engine that moves a fault between
+/// refetch, re-execution and abort shows up here.
+#[test]
+fn fault_campaign_ladder_outcomes_are_pinned_for_seed_42() {
+    let (code, stdout, _) = run_code(&["fault-campaign", "--seed", "42", "--faults", "300"]);
+    assert_eq!(code, Some(0), "{stdout}");
+    for line in [
+        "detection rate      : 100.0% (300 of 300)",
+        "recovered (refetch) : 70",
+        "recovered (re-exec) : 115",
+        "graceful aborts     : 115",
+        "recovery latency    : mean 5198 cycles, worst 9120 cycles",
+        "verdict             : PASS",
+    ] {
+        assert!(
+            stdout.lines().any(|l| l.trim_end() == line),
+            "missing `{line}`: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn patterns_subcommand_draws_plots() {
     let (ok, stdout, _) = run(&["patterns", "--k", "8", "--c", "4", "--hw", "8"]);

@@ -262,9 +262,9 @@ fn chaos_scheduled_healthy_tenants_match_their_solo_runs() {
 
 /// The seventh datapath: batched multi-tenant inference. Three tenants
 /// sharing one Arc'd weight set arrive in the same round, so every
-/// layer step fuses into one batched crypto lane group (compute shared,
-/// MAC registers / VN-FSM / journal / nonce space strictly per-tenant),
-/// and the scheduler steps them across two worker lanes. Every tenant's
+/// round steps them at the same layer (weights shared, MAC registers /
+/// VN-FSM / journal / nonce space strictly per-tenant), and the
+/// scheduler steps them across two worker lanes. Every tenant's
 /// output must still be bit-identical to the plaintext reference on
 /// every zoo model.
 #[test]

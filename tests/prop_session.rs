@@ -208,9 +208,9 @@ proptest! {
 }
 
 /// Builds a manager whose tenants all serve the same zoo model from one
-/// shared weight Arc and arrive together — the maximally fusable shape:
-/// every round groups all running tenants into one batched lane set.
-fn fused_manager(seed: u64, sessions: u32, pick: usize) -> SessionManager {
+/// shared weight Arc and arrive together, so every round steps all
+/// running tenants at the same layer.
+fn shared_model_manager(seed: u64, sessions: u32, pick: usize) -> SessionManager {
     let models = campaign_models();
     let m = &models[pick];
     let mut mgr = SessionManager::new(
@@ -292,30 +292,30 @@ proptest! {
         }
     }
 
-    /// Fusion property: tenants batched into one fused multi-activation
-    /// layer step (same model, same Arc, same arrival round) produce
-    /// exactly what each would have produced alone, for every worker
-    /// count — fusion shares compute, never state.
+    /// Batching property: tenants stepped together at the same layer
+    /// (same model, same Arc, same arrival round) produce exactly what
+    /// each would have produced alone, for every worker count — the
+    /// shared weights are read-only, per-tenant state is never shared.
     #[test]
-    fn fused_batches_equal_per_tenant_solo_runs(
+    fn batches_equal_per_tenant_solo_runs(
         seed in 0u64..1_000_000,
         sessions in 2u32..=4,
     ) {
         let models = campaign_models();
         let pick = seed as usize % models.len();
-        let probe = fused_manager(seed, sessions, pick);
+        let probe = shared_model_manager(seed, sessions, pick);
         let refs: Vec<_> = (0..sessions).map(|t| reference(&probe, t, pick)).collect();
         for workers in [1usize, 2, 4, 7] {
-            let mut mgr = fused_manager(seed, sessions, pick);
+            let mut mgr = shared_model_manager(seed, sessions, pick);
             mgr.set_step_workers(workers);
             let report = mgr.run();
             prop_assert_eq!(report.pad_collisions, 0, "{} workers: pad reuse", workers);
             for o in &report.outcomes {
-                let out = o.output().expect("fused clean tenants complete");
+                let out = o.output().expect("clean tenants complete");
                 prop_assert_eq!(
                     out,
                     &refs[o.tenant as usize].0,
-                    "{} workers: fused tenant {} diverged from its solo run",
+                    "{} workers: tenant {} diverged from its solo run",
                     workers,
                     o.tenant
                 );
