@@ -43,7 +43,7 @@ use crate::journal::{
 use crate::retry::RestartPolicy;
 use crate::secure_infer::{
     infer_plain, open_journaled_cursor, open_resume_cursor, step_journaled_layer, AbortReport,
-    Instruments, JournaledError, JournaledRun, QConvLayer, SecureSession,
+    Instruments, JournaledCursor, JournaledError, JournaledRun, QConvLayer, SecureSession,
 };
 use crate::secure_memory::{Block, BlockCoords, DatapathCache, UntrustedDram};
 use crate::telemetry;
@@ -858,6 +858,37 @@ fn parse_ledger(payload: &[u8]) -> Option<LedgerImage> {
     Some((epochs, pads))
 }
 
+/// Reads the sealed ledger checkpoint back as `(epochs, pads)` — empty
+/// when the home has none yet. Strict, because the persisted
+/// pad-freshness proof is load-bearing: anything but exactly one
+/// complete frame (a torn tail included) or an unparsable payload is
+/// corruption, a failed tag is tamper. Duplicate pads are left to the
+/// caller: opening refuses them, auditing counts them.
+fn read_ledger(vfs: &mut dyn Vfs, session: &SecureSession) -> Result<LedgerImage, DurableError> {
+    if !vfs.exists(LEDGER_FILE) {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    let corrupt = DurableError::Security(SecurityError::DurableCorruption {
+        file: "ledger",
+        frame: 0,
+    });
+    let bytes = vfs.read(LEDGER_FILE)?;
+    let scan = scan_frames("ledger", &bytes).map_err(DurableError::Security)?;
+    if scan.frames.len() != 1 || scan.torn_tail_bytes != 0 {
+        return Err(corrupt);
+    }
+    let payload = open_blob(
+        LEDGER_DOMAIN,
+        &session.secret,
+        session.nonce,
+        &scan.frames[0],
+    )
+    .ok_or(DurableError::Security(SecurityError::DurableTamper {
+        file: "ledger",
+    }))?;
+    parse_ledger(payload).ok_or(corrupt)
+}
+
 /// Atomic snapshot write: temp file, fsync, rename (the rename syncs the
 /// directory in [`StdVfs`]). The temp name is deterministic per target,
 /// so a crashed temp is simply overwritten next time.
@@ -1024,42 +1055,15 @@ impl DurableHome {
             UntrustedDram::new()
         };
 
-        // Ledger: the persisted pad-freshness proof is load-bearing, so
-        // it is strict — CRC violation is corruption, tag violation is
-        // tamper, and duplicate pads inside it are tamper too.
+        // Ledger: strict (see `read_ledger`), and duplicate pads inside
+        // it are tamper too.
+        let (epochs, pads) = read_ledger(vfs, session)?;
         let mut tracker = PadTracker::default();
-        let mut epochs = Vec::new();
-        if vfs.exists(LEDGER_FILE) {
-            let bytes = vfs.read(LEDGER_FILE)?;
-            let scan = scan_frames("ledger", &bytes).map_err(DurableError::Security)?;
-            if scan.frames.len() != 1 || scan.torn_tail_bytes != 0 {
-                return Err(DurableError::Security(SecurityError::DurableCorruption {
+        for (epoch, coords) in pads {
+            if !tracker.preload(epoch, coords) {
+                return Err(DurableError::Security(SecurityError::DurableTamper {
                     file: "ledger",
-                    frame: 0,
                 }));
-            }
-            let payload = open_blob(
-                LEDGER_DOMAIN,
-                &session.secret,
-                session.nonce,
-                &scan.frames[0],
-            )
-            .ok_or(DurableError::Security(SecurityError::DurableTamper {
-                file: "ledger",
-            }))?;
-            let (led_epochs, pads) = parse_ledger(payload).ok_or(DurableError::Security(
-                SecurityError::DurableCorruption {
-                    file: "ledger",
-                    frame: 0,
-                },
-            ))?;
-            epochs = led_epochs;
-            for (epoch, coords) in pads {
-                if !tracker.preload(epoch, coords) {
-                    return Err(DurableError::Security(SecurityError::DurableTamper {
-                        file: "ledger",
-                    }));
-                }
             }
         }
 
@@ -1196,6 +1200,85 @@ pub struct PersistentOutcome {
     pub dram_discarded: bool,
 }
 
+/// A durable home opened for one execution attempt by
+/// [`open_home_cursor`].
+#[derive(Debug)]
+pub(crate) struct HomeCursor {
+    /// The home (journal watermark + epoch list).
+    pub(crate) home: DurableHome,
+    /// The cursor, positioned at the first layer to execute; its
+    /// `EpochOpen` record is already on media.
+    pub(crate) cursor: JournaledCursor,
+    /// Authenticated journal records found on disk.
+    pub(crate) prior_records: u32,
+    /// Whether a torn on-disk tail was repaired during the open.
+    pub(crate) torn_tail_repaired: bool,
+    /// Whether an unreadable DRAM snapshot was discarded during the open.
+    pub(crate) dram_discarded: bool,
+}
+
+/// The one durable open every persistent driver shares: opens (or
+/// creates) the home on `vfs`, adopts its reconstructed state into
+/// `durable` and its preloaded pad oracle into `instruments.tracker`,
+/// counts a restart-resume when the journal held records, opens the
+/// cursor — journaled on an empty journal, resume otherwise, under the
+/// caller's injector and clock — and syncs the `EpochOpen` record
+/// ahead: it must be durable before the first pad of its epoch is
+/// consumed, or a crash could replay the epoch.
+///
+/// # Errors
+///
+/// The typed verdicts of [`DurableHome::open_or_create`], a cursor-open
+/// failure, or a clock cut / I/O fault during the write-ahead sync. The
+/// adopted state stays in `durable`/`instruments` either way.
+// The borrows are the caller's split fields (the scheduler's tenant
+// struct, the persistent driver's locals); bundling them would force
+// re-borrowing what the layer loop needs disjoint.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn open_home_cursor(
+    vfs: &mut dyn Vfs,
+    input: &QTensor3,
+    session: &SecureSession,
+    layer_count: u32,
+    durable: &mut DurableState,
+    instruments: &mut Instruments<'_>,
+    schedules: &mut DatapathCache,
+    stats: &mut PersistentStats,
+) -> Result<HomeCursor, DurableError> {
+    let OpenedHome {
+        mut home,
+        durable: reopened,
+        tracker,
+        prior_records,
+        torn_tail_repaired,
+        dram_discarded,
+    } = DurableHome::open_or_create(vfs, session, layer_count, stats)?;
+    *durable = reopened;
+    *instruments.tracker = tracker;
+    if prior_records > 0 {
+        stats.resumed();
+    }
+    let cursor = if durable.journal.is_empty() {
+        open_journaled_cursor(input, session, durable, &mut instruments.clock, schedules)?
+    } else {
+        open_resume_cursor(input, session, durable, instruments, None, schedules)?
+    };
+    home.sync_journal(
+        vfs,
+        &durable.journal,
+        cursor.next_layer(),
+        &mut instruments.clock,
+        stats,
+    )?;
+    Ok(HomeCursor {
+        home,
+        cursor,
+        prior_records,
+        torn_tail_repaired,
+        dram_discarded,
+    })
+}
+
 /// Runs one inference against a durable home on `vfs`, persisting every
 /// layer commit; on a fresh home this is `infer_journaled` with disk
 /// underneath, on a non-empty home it is a restart-resume.
@@ -1212,69 +1295,50 @@ pub fn run_persistent(
     input: &QTensor3,
     session: &SecureSession,
     vfs: &mut dyn Vfs,
-    mut clock: Option<&mut CrashClock>,
+    clock: Option<&mut CrashClock>,
     stats: &mut PersistentStats,
 ) -> Result<PersistentOutcome, DurableError> {
-    let opened = DurableHome::open_or_create(vfs, session, layers.len() as u32, stats)?;
-    let OpenedHome {
+    let mut durable = DurableState::default();
+    let mut tracker = PadTracker::default();
+    let mut ins = Instruments {
+        tracker: &mut tracker,
+        injector: None,
+        clock,
+    };
+    // Per-run schedule cache: a restart-resume's rollback walk shares
+    // one key expansion per epoch instead of one per verified commit.
+    let HomeCursor {
         mut home,
-        mut durable,
-        mut tracker,
+        mut cursor,
         prior_records,
         torn_tail_repaired,
         dram_discarded,
-    } = opened;
-    let resumed = prior_records > 0;
-    if resumed {
-        stats.resumed();
-    }
-
-    // Per-run schedule cache: a restart-resume's rollback walk shares
-    // one key expansion per epoch instead of one per verified commit.
-    let mut schedules = DatapathCache::new();
-    let mut cursor = if durable.journal.is_empty() {
-        open_journaled_cursor(input, session, &mut durable, &mut clock, &mut schedules)?
-    } else {
-        let mut ins = Instruments {
-            tracker: &mut tracker,
-            injector: None,
-            clock: clock.as_deref_mut(),
-        };
-        open_resume_cursor(input, session, &mut durable, &mut ins, None, &mut schedules)?
-    };
-    // Write-ahead: the EpochOpen record must be durable before the first
-    // pad of its epoch is consumed.
-    home.sync_journal(
+    } = open_home_cursor(
         vfs,
-        &durable.journal,
-        cursor.next_layer(),
-        &mut clock,
+        input,
+        session,
+        layers.len() as u32,
+        &mut durable,
+        &mut ins,
+        &mut DatapathCache::new(),
         stats,
     )?;
-
     while !cursor.done(layers) {
-        {
-            let mut ins = Instruments {
-                tracker: &mut tracker,
-                injector: None,
-                clock: clock.as_deref_mut(),
-            };
-            step_journaled_layer(layers, session, &mut cursor, &mut durable, &mut ins)?;
-        }
+        step_journaled_layer(layers, session, &mut cursor, &mut durable, &mut ins)?;
         home.checkpoint(
             vfs,
             &durable,
-            &tracker,
+            ins.tracker,
             session,
             cursor.epoch(),
             cursor.next_layer(),
-            &mut clock,
+            &mut ins.clock,
             stats,
         )?;
     }
     Ok(PersistentOutcome {
         run: cursor.finish(),
-        resumed,
+        resumed: prior_records > 0,
         prior_records,
         torn_tail_repaired,
         dram_discarded,
@@ -1351,41 +1415,15 @@ pub fn audit_home(vfs: &mut dyn Vfs, session: &SecureSession) -> Result<HomeAudi
         .collect();
     let epochs_strictly_increasing = journal_epochs.windows(2).all(|w| w[0] < w[1]);
 
+    let (ledger_epochs, pads) = read_ledger(vfs, session)?;
     let mut ledger_pads = 0u64;
     let mut duplicate_pads = 0u64;
-    let mut ledger_epochs = Vec::new();
-    if vfs.exists(LEDGER_FILE) {
-        let bytes = vfs.read(LEDGER_FILE)?;
-        let scan = scan_frames("ledger", &bytes).map_err(DurableError::Security)?;
-        if scan.frames.len() != 1 {
-            return Err(DurableError::Security(SecurityError::DurableCorruption {
-                file: "ledger",
-                frame: 0,
-            }));
-        }
-        let payload = open_blob(
-            LEDGER_DOMAIN,
-            &session.secret,
-            session.nonce,
-            &scan.frames[0],
-        )
-        .ok_or(DurableError::Security(SecurityError::DurableTamper {
-            file: "ledger",
-        }))?;
-        let (epochs, pads) = parse_ledger(payload).ok_or(DurableError::Security(
-            SecurityError::DurableCorruption {
-                file: "ledger",
-                frame: 0,
-            },
-        ))?;
-        ledger_epochs = epochs;
-        let mut seen = PadTracker::default();
-        for (epoch, coords) in pads {
-            if seen.preload(epoch, coords) {
-                ledger_pads += 1;
-            } else {
-                duplicate_pads += 1;
-            }
+    let mut seen = PadTracker::default();
+    for (epoch, coords) in pads {
+        if seen.preload(epoch, coords) {
+            ledger_pads += 1;
+        } else {
+            duplicate_pads += 1;
         }
     }
     Ok(HomeAudit {
@@ -2079,6 +2117,29 @@ mod tests {
                 r,
                 Err(DurableError::Security(SecurityError::DurableTamper {
                     file: "manifest"
+                }))
+            ),
+            "got {r:?}"
+        );
+    }
+
+    #[test]
+    fn audit_refuses_a_ledger_with_a_torn_tail_like_open_does() {
+        let m = model();
+        let mut vfs = FaultVfs::new();
+        let mut stats = PersistentStats::default();
+        run_persistent(&m.layers, &m.input, &m.session, &mut vfs, None, &mut stats)
+            .expect("clean run");
+        let mut bytes = vfs.stable_get(LEDGER_FILE).expect("ledger");
+        bytes.extend_from_slice(&[0xAB, 0xCD, 0xEF]);
+        vfs.stable_put(LEDGER_FILE, bytes);
+        let r = audit_home(&mut vfs, &m.session);
+        assert!(
+            matches!(
+                r,
+                Err(DurableError::Security(SecurityError::DurableCorruption {
+                    file: "ledger",
+                    ..
                 }))
             ),
             "got {r:?}"

@@ -63,7 +63,7 @@ use std::time::Instant;
 
 use crate::audit::{IncidentLog, IncidentRecord, LadderSummary, RecoveryAction};
 use crate::detection::RecoveryCost;
-use crate::durable::{DurableError, DurableHome, PersistentStats, StdVfs};
+use crate::durable::{open_home_cursor, DurableError, DurableHome, PersistentStats, StdVfs};
 use crate::error::SecurityError;
 use crate::fault::{
     splitmix, CrashClock, FaultInjector, FaultKind, FaultSpec, Persistence, PowerLoss,
@@ -331,62 +331,20 @@ type PadKey = (DeviceSecret, u64, u32, BlockCoords);
 /// where the key identity is the `(secret, nonce)` pair fed to the KDF.
 /// Within one session the [`PadTracker`] already fails closed on reuse;
 /// this ledger extends the assertion *across* sessions, where distinct
-/// derived keys are what keeps equal counters harmless.
-///
-/// The ledger is internally *sharded* by a deterministic hash of the
-/// pad identity, so the parallel scheduler can absorb many sessions'
-/// pads concurrently ([`Self::absorb_all`]) with each worker owning a
-/// disjoint shard range — no lock, no serialization point. Shard count
-/// is fixed at construction ([`Self::sharded`]); the recorded set and
-/// collision count are independent of both the shard count and the
-/// absorption order (set semantics: `collisions = insertions −
-/// distinct`).
-#[derive(Debug)]
+/// derived keys are what keeps equal counters harmless. Set semantics:
+/// `collisions = insertions − distinct`, independent of absorption
+/// order.
+#[derive(Debug, Default)]
 pub struct PadLedger {
-    shards: Vec<HashSet<PadKey>>,
+    pads: HashSet<PadKey>,
     collisions: u64,
 }
 
-impl Default for PadLedger {
-    fn default() -> Self {
-        Self::sharded(1)
-    }
-}
-
 impl PadLedger {
-    /// An empty single-shard ledger (serial use).
+    /// An empty ledger.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The one shard-aware constructor every caller — serve report,
-    /// chaos report, ledger self-test, parallel scheduler — goes
-    /// through: sizes the shard count to the expected session
-    /// concurrency (rounded up to a power of two, clamped to `1..=64`).
-    #[must_use]
-    pub fn sharded(sessions_hint: usize) -> Self {
-        let shards = sessions_hint.clamp(1, 64).next_power_of_two();
-        Self {
-            shards: (0..shards).map(|_| HashSet::new()).collect(),
-            collisions: 0,
-        }
-    }
-
-    /// Number of internal shards (a power of two).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Deterministic shard routing: [`std::collections::hash_map::DefaultHasher`]
-    /// seeded via `new()` is keyed with constants, so the same pad maps
-    /// to the same shard in every run and every thread.
-    fn shard_of(key: &PadKey, shards: usize) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (shards - 1)
     }
 
     /// Records one issued pad; returns `false` (and counts a collision)
@@ -398,20 +356,17 @@ impl PadLedger {
         epoch: u32,
         coords: BlockCoords,
     ) -> bool {
-        let key = (secret, nonce, epoch, coords);
-        let idx = Self::shard_of(&key, self.shards.len());
-        if self.shards[idx].insert(key) {
-            true
-        } else {
+        let fresh = self.pads.insert((secret, nonce, epoch, coords));
+        if !fresh {
             self.collisions += 1;
-            false
         }
+        fresh
     }
 
     /// Distinct pads recorded.
     #[must_use]
     pub fn pads(&self) -> u64 {
-        self.shards.iter().map(|s| s.len() as u64).sum()
+        self.pads.len() as u64
     }
 
     /// Collisions observed (must be 0 for isolated sessions).
@@ -426,61 +381,6 @@ impl PadLedger {
             self.insert(session.secret, session.nonce, epoch, coords);
         }
     }
-
-    /// Absorbs every session's pads with shard-parallel workers: each
-    /// scoped thread owns a contiguous run of shards, sweeps *all*
-    /// items, and inserts only the pads that hash into its shards —
-    /// disjoint writes, no locking. Collision counts are summed across
-    /// workers; because each shard sees the same insertions it would
-    /// have seen serially, the result is identical to calling
-    /// [`Self::absorb`] per session for any worker count.
-    pub fn absorb_all(&mut self, items: &[(&SecureSession, &PadTracker)]) {
-        self.absorb_all_with(items, rayon::current_num_threads());
-    }
-
-    /// [`Self::absorb_all`] with an explicit worker count (tests force
-    /// the parallel path regardless of the machine's core count).
-    fn absorb_all_with(&mut self, items: &[(&SecureSession, &PadTracker)], workers: usize) {
-        let shards = self.shards.len();
-        let workers = workers.min(shards);
-        if workers <= 1 || items.len() < 2 {
-            for &(session, tracker) in items {
-                self.absorb(session, tracker);
-            }
-            return;
-        }
-        let per = shards.div_ceil(workers);
-        let new_collisions: u64 = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .shards
-                .chunks_mut(per)
-                .enumerate()
-                .map(|(w, chunk)| {
-                    s.spawn(move || {
-                        let lo = w * per;
-                        let mut local = 0u64;
-                        for &(session, tracker) in items {
-                            for &(epoch, coords) in tracker.issued() {
-                                let key = (session.secret, session.nonce, epoch, coords);
-                                let idx = Self::shard_of(&key, shards);
-                                if (lo..lo + chunk.len()).contains(&idx)
-                                    && !chunk[idx - lo].insert(key)
-                                {
-                                    local += 1;
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("ledger shard worker panicked"))
-                .sum()
-        });
-        self.collisions += new_collisions;
-    }
 }
 
 /// Everything one [`SessionManager::run`] produced.
@@ -490,9 +390,9 @@ pub struct ServeReport {
     pub rounds: u64,
     /// Per-tenant outcomes, in admission order.
     pub outcomes: Vec<SessionOutcome>,
-    /// Distinct pads in the cross-session ledger.
+    /// Distinct pads in the manager-lifetime cross-session ledger.
     pub pads_issued: u64,
-    /// Cross-session pad collisions (must be 0).
+    /// Cross-session pad collisions in that ledger (must be 0).
     pub pad_collisions: u64,
     /// Incident records merged across every tenant, in tenant order.
     pub incidents: IncidentLog,
@@ -556,9 +456,8 @@ pub struct SessionManager {
     /// Telemetry-event cursor at construction: report-time stage
     /// attribution scans tenant-tagged events from here.
     events_from: u64,
-    /// Manager-lifetime pad ledger for the incremental drive mode:
-    /// [`Self::harvest_terminal`] absorbs every harvested session's pads
-    /// here, so the zero-collision oracle spans every request a
+    /// Manager-lifetime pad ledger: every drained session's pads are
+    /// absorbed here, so the zero-collision oracle spans every request a
     /// long-lived manager (the daemon) ever served — across tenants,
     /// repeat submissions, and re-admissions alike.
     lifetime_ledger: PadLedger,
@@ -749,19 +648,39 @@ impl SessionManager {
         self.tenants.len()
     }
 
-    /// Drives every admitted session to a terminal state and reports.
+    /// Drives every admitted session to a terminal state and reports:
+    /// the same [`Self::step_round`] loop and terminal drain the serving
+    /// daemon runs, so the campaign oracles exercise the serving path.
     pub fn run(&mut self) -> ServeReport {
-        while self.service_round() {}
-        self.report()
+        while self.step_round() {}
+        let mut incidents = IncidentLog::new();
+        let mut max_blocks = 0u64;
+        let mut session_rows = Vec::new();
+        let outcomes = self.drain_terminal(&mut incidents, &mut max_blocks, &mut session_rows);
+        ServeReport {
+            rounds: self.round,
+            outcomes,
+            pads_issued: self.lifetime_ledger.pads(),
+            pad_collisions: self.lifetime_ledger.collisions(),
+            incidents,
+            max_blocks,
+            session_retries: self.stats.session_retries,
+            deadline_misses: self.stats.deadline_misses,
+            sessions_quarantined: self.stats.sessions_quarantined,
+            inflight_shed: self.stats.inflight_shed,
+            session_rows,
+            scheduler_ns: self.scheduler_ns,
+        }
     }
 
-    /// One scheduler round: release arrivals, enforce deadline budgets
-    /// and the watchdog, wake expired backoffs (journal re-admission),
-    /// fill free slots from the queue (admission order, under the
-    /// possibly degraded cap), then grant every running session exactly
-    /// one layer step, in fixed tenant order — round-robin fairness.
-    /// Returns `false` once every tenant is terminal.
-    fn service_round(&mut self) -> bool {
+    /// One scheduler round — the daemon's clock tick: release arrivals,
+    /// enforce deadline budgets and the watchdog, wake expired backoffs
+    /// (journal re-admission), fill free slots from the queue (admission
+    /// order, under the possibly degraded cap), then grant every running
+    /// session exactly one layer step, in fixed tenant order —
+    /// round-robin fairness. Returns `false` once every admitted tenant
+    /// is terminal, i.e. there is nothing to do until the next admission.
+    pub fn step_round(&mut self) -> bool {
         if self.tenants.iter().all(Tenant::is_terminal) {
             return false;
         }
@@ -908,7 +827,9 @@ impl SessionManager {
 
     /// Backoff → Running once the backoff expires: resume from the
     /// tenant's own journal (repair, rollback walk, fresh epoch) with
-    /// the next scripted cut armed.
+    /// the next scripted cut armed. The resume runs in RAM: backoff is
+    /// entered only through [`Self::handle_failure`], which has already
+    /// dropped any durable home.
     fn wake_backoff(
         t: &mut Tenant,
         policy: &RobustnessPolicy,
@@ -941,35 +862,7 @@ impl SessionManager {
             )
         };
         match result {
-            Ok(cursor) => {
-                // A durable tenant's resumed epoch obeys the same
-                // write-ahead rule promotion does: the fresh `EpochOpen`
-                // must be on media before its first pad is consumed.
-                let id = t.id;
-                let sync = match t.home.as_mut() {
-                    Some(h) => match (h.vfs.as_mut(), h.home.as_mut()) {
-                        (Some(vfs), Some(home)) => home
-                            .sync_journal(
-                                vfs,
-                                &t.durable.journal,
-                                cursor.next_layer(),
-                                &mut t.clock.as_mut(),
-                                &mut h.stats,
-                            )
-                            .map_err(|err| home_error(id, err)),
-                        _ => Ok(()),
-                    },
-                    None => Ok(()),
-                };
-                match sync {
-                    Ok(()) => t.state = TenantState::Running(Box::new(cursor)),
-                    Err(e) => {
-                        *faulty = true;
-                        let commits = t.commits;
-                        Self::handle_failure(t, e, commits, round, policy, stats);
-                    }
-                }
-            }
+            Ok(cursor) => t.state = TenantState::Running(Box::new(cursor)),
             Err(e) => {
                 *faulty = true;
                 let commits = t.commits;
@@ -1003,7 +896,7 @@ impl SessionManager {
         Self::arm_next_cut(t);
         let _scope = telemetry::tenant_scope(u64::from(t.id));
         let result = if t.home.is_some() {
-            Self::open_home_cursor(t)
+            Self::open_home(t)
         } else {
             let mut clock = t.clock.as_mut();
             open_journaled_cursor(
@@ -1025,65 +918,34 @@ impl SessionManager {
         }
     }
 
-    /// Promotion path for a durable tenant: open (or restart-resume) the
-    /// on-disk [`DurableHome`], adopt its reconstructed durable state
-    /// and preloaded pad oracle, open the cursor — journaled on an empty
-    /// journal, resume otherwise — and write the `EpochOpen` record
-    /// ahead: it must be durable before the first pad of its epoch is
-    /// consumed, or a crash could replay the epoch.
-    fn open_home_cursor(t: &mut Tenant) -> Result<JournaledCursor, JournaledError> {
+    /// Promotion path for a durable tenant: the shared durable open
+    /// ([`open_home_cursor`]) over the tenant's home directory, adopting
+    /// its reconstructed journal and preloaded pad oracle.
+    fn open_home(t: &mut Tenant) -> Result<JournaledCursor, JournaledError> {
         let id = t.id;
         let h = t.home.as_mut().expect("durable tenants only");
         if h.vfs.is_none() {
             h.vfs = Some(StdVfs::create(&h.dir).map_err(|e| home_error(id, DurableError::Io(e)))?);
         }
         let vfs = h.vfs.as_mut().expect("vfs opened above");
-        if h.home.is_none() {
-            let opened =
-                DurableHome::open_or_create(vfs, &t.session, t.layers.len() as u32, &mut h.stats)
-                    .map_err(|e| home_error(id, e))?;
-            t.durable = opened.durable;
-            t.tracker = opened.tracker;
-            h.home = Some(opened.home);
-            if opened.prior_records > 0 {
-                h.stats.restart_resumes += 1;
-                telemetry::incr(Counter::RestartResumes);
-            }
-        }
-        let cursor = if t.durable.journal.is_empty() {
-            let mut clock = t.clock.as_mut();
-            open_journaled_cursor(
-                &t.input,
-                &t.session,
-                &mut t.durable,
-                &mut clock,
-                &mut t.schedules,
-            )?
-        } else {
-            let mut instruments = Instruments {
-                tracker: &mut t.tracker,
-                injector: t.injector.as_mut(),
-                clock: t.clock.as_mut(),
-            };
-            open_resume_cursor(
-                &t.input,
-                &t.session,
-                &mut t.durable,
-                &mut instruments,
-                None,
-                &mut t.schedules,
-            )?
+        let mut instruments = Instruments {
+            tracker: &mut t.tracker,
+            injector: t.injector.as_mut(),
+            clock: t.clock.as_mut(),
         };
-        let home = h.home.as_mut().expect("home opened above");
-        home.sync_journal(
+        let opened = open_home_cursor(
             vfs,
-            &t.durable.journal,
-            cursor.next_layer(),
-            &mut t.clock.as_mut(),
+            &t.input,
+            &t.session,
+            t.layers.len() as u32,
+            &mut t.durable,
+            &mut instruments,
+            &mut t.schedules,
             &mut h.stats,
         )
         .map_err(|e| home_error(id, e))?;
-        Ok(cursor)
+        h.home = Some(opened.home);
+        Ok(opened.cursor)
     }
 
     /// Checkpoints a durable tenant's freshly committed layer to disk —
@@ -1343,9 +1205,7 @@ impl SessionManager {
 
     /// Collapses one drained tenant into its outcome, folding its
     /// incident records, stage-time row, and max-blocks watermark into
-    /// the caller's accumulators. Shared by the batch [`Self::report`]
-    /// and the incremental [`Self::harvest_terminal`], so the two drive
-    /// modes can never disagree on verdict conversion.
+    /// the caller's accumulators.
     fn collapse(
         t: Tenant,
         incidents: &mut IncidentLog,
@@ -1378,7 +1238,7 @@ impl SessionManager {
                 SessionVerdict::Aborted(err)
             }
             TenantState::Quarantined(report) => SessionVerdict::Quarantined(report),
-            // `run()` drains the scheduler, so non-terminal states
+            // Only terminal tenants are drained, so non-terminal states
             // cannot reach here; report them as aborted-by-shutdown
             // rather than panicking in a security path.
             TenantState::Waiting
@@ -1401,66 +1261,6 @@ impl SessionManager {
             deadline_missed: t.deadline_missed,
             verdict,
         }
-    }
-
-    /// Collapses terminal tenants into the report: outcomes, merged
-    /// incidents, per-session rows, and the cross-session pad ledger.
-    fn report(&mut self) -> ServeReport {
-        self.attribute_stage_spans();
-        // The one shard-aware ledger path every campaign shares: shards
-        // sized to the session count, absorbed with shard-parallel
-        // workers before the drain below consumes the tenants.
-        let mut ledger = PadLedger::sharded(self.tenants.len());
-        {
-            let items: Vec<(&SecureSession, &PadTracker)> = self
-                .tenants
-                .iter()
-                .map(|t| (&t.session, &t.tracker))
-                .collect();
-            ledger.absorb_all(&items);
-        }
-        let mut incidents = IncidentLog::new();
-        let mut max_blocks = 0u64;
-        let mut outcomes = Vec::with_capacity(self.tenants.len());
-        let mut session_rows = Vec::new();
-        for t in self.tenants.drain(..) {
-            outcomes.push(Self::collapse(
-                t,
-                &mut incidents,
-                &mut max_blocks,
-                &mut session_rows,
-            ));
-        }
-        ServeReport {
-            rounds: self.round,
-            outcomes,
-            pads_issued: ledger.pads(),
-            pad_collisions: ledger.collisions(),
-            incidents,
-            max_blocks,
-            session_retries: self.stats.session_retries,
-            deadline_misses: self.stats.deadline_misses,
-            sessions_quarantined: self.stats.sessions_quarantined,
-            inflight_shed: self.stats.inflight_shed,
-            session_rows,
-            scheduler_ns: self.scheduler_ns,
-        }
-    }
-
-    // -- Incremental drive mode (the serving daemon) --------------------
-    //
-    // `run()`/`report()` assume a closed population: admit everything,
-    // drain to terminal, report once. A daemon's population is open —
-    // requests arrive and retire continuously — so it drives the same
-    // scheduler one round at a time and harvests terminal sessions as
-    // they finish, with the pad oracle accumulated across the manager's
-    // whole lifetime instead of one report.
-
-    /// Executes one scheduler round (the daemon's clock tick). Returns
-    /// `false` when every admitted tenant is terminal — i.e. there is
-    /// nothing to do until the next admission.
-    pub fn step_round(&mut self) -> bool {
-        self.service_round()
     }
 
     /// Scheduler rounds executed so far.
@@ -1548,22 +1348,27 @@ impl SessionManager {
     /// are absorbed into the manager-lifetime ledger behind
     /// [`Self::pads_issued`] / [`Self::pad_collisions`].
     pub fn harvest_terminal(&mut self) -> Vec<SessionOutcome> {
+        self.drain_terminal(&mut IncidentLog::new(), &mut 0, &mut Vec::new())
+    }
+
+    /// The one terminal drain behind [`Self::run`] and
+    /// [`Self::harvest_terminal`]: attributes stage spans, then removes
+    /// terminal tenants in admission order, absorbing each one's pads
+    /// into the lifetime ledger before collapsing it into its outcome.
+    fn drain_terminal(
+        &mut self,
+        incidents: &mut IncidentLog,
+        max_blocks: &mut u64,
+        session_rows: &mut Vec<LayerRow>,
+    ) -> Vec<SessionOutcome> {
         self.attribute_stage_spans();
         let mut out = Vec::new();
-        let mut incidents = IncidentLog::new();
-        let mut max_blocks = 0u64;
-        let mut session_rows = Vec::new();
         let mut i = 0;
         while i < self.tenants.len() {
             if self.tenants[i].is_terminal() {
                 let t = self.tenants.remove(i);
                 self.lifetime_ledger.absorb(&t.session, &t.tracker);
-                out.push(Self::collapse(
-                    t,
-                    &mut incidents,
-                    &mut max_blocks,
-                    &mut session_rows,
-                ));
+                out.push(Self::collapse(t, incidents, max_blocks, session_rows));
             } else {
                 i += 1;
             }
@@ -1796,9 +1601,9 @@ pub fn serve_plan(seed: u64, sessions: u32, models: &[CampaignModel]) -> ServePl
 /// distinct derived key with the same counter does not (that is the
 /// whole point of per-tenant key derivation).
 fn ledger_selftest() -> bool {
-    // Same shard-aware constructor the campaign reports use — one code
-    // path, so the self-test can never drift from the real ledger.
-    let mut ledger = PadLedger::sharded(2);
+    // The same ledger type the manager drains into, so the self-test
+    // can never drift from the real oracle.
+    let mut ledger = PadLedger::new();
     let root = DeviceSecret::from_seed(0xD1CE);
     let c = BlockCoords {
         fmap_id: 0,
@@ -2779,7 +2584,7 @@ mod tests {
         assert_eq!(report.sessions_quarantined, 0);
     }
 
-    // -- parallel scheduler + sharded ledger --------------------------------
+    // -- parallel scheduler + pad ledger ------------------------------------
 
     #[test]
     fn scheduled_outputs_are_bit_identical_for_any_worker_count() {
@@ -2910,7 +2715,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ledger_matches_serial_absorption() {
+    fn ledger_counts_repeated_sessions_as_collisions_in_any_order() {
         let root = DeviceSecret::from_seed(0xABCD);
         let mk = |tenant: u32| SecureSession {
             secret: root.derive_tenant(tenant),
@@ -2940,23 +2745,63 @@ mod tests {
         // absorption order must report exactly 32 collisions.
         items.push((&sessions[0], &trackers[0]));
 
-        let mut serial = PadLedger::sharded(1);
-        for &(s, tr) in &items {
-            serial.absorb(s, tr);
+        for order in [items.clone(), items.iter().rev().copied().collect()] {
+            let mut ledger = PadLedger::new();
+            for &(s, tr) in &order {
+                ledger.absorb(s, tr);
+            }
+            assert_eq!((ledger.pads(), ledger.collisions()), (4 * 32, 32));
         }
-        assert_eq!(serial.pads(), 4 * 32);
-        assert_eq!(serial.collisions(), 32);
+    }
 
-        for (shards, workers) in [(4, 2), (8, 3), (64, 7)] {
-            let mut sharded = PadLedger::sharded(shards);
-            assert_eq!(sharded.shard_count(), shards.next_power_of_two());
-            sharded.absorb_all_with(&items, workers);
-            assert_eq!(
-                (sharded.pads(), sharded.collisions()),
-                (serial.pads(), serial.collisions()),
-                "shards={shards} workers={workers}"
+    #[test]
+    fn a_durable_tenant_matches_its_ram_twin_and_leaves_an_auditable_home() {
+        let models = campaign_models();
+        let m = &models[0];
+        let dir =
+            std::env::temp_dir().join(format!("seculator-session-home-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let serve = |home_dir: Option<PathBuf>| {
+            let mut mgr = SessionManager::new(
+                DeviceSecret::from_seed(97),
+                97 ^ 0xA5A5,
+                m.session.shift,
+                RecoveryPolicy::default(),
+                2,
             );
-        }
+            mgr.admit(AdmitSpec {
+                tenant: 0,
+                name: m.name.to_string(),
+                layers: Arc::new(m.layers.clone()),
+                input: m.input.clone(),
+                arrival_round: 0,
+                injector: None,
+                deadline_rounds: None,
+                crash_cuts: Vec::new(),
+                nonce_salt: 0,
+                home_dir,
+            });
+            let session = mgr.derived_session(0);
+            (mgr.run(), session)
+        };
+        let (ram, _) = serve(None);
+        let (disk, session) = serve(Some(dir.clone()));
+        assert_eq!(
+            disk.outcomes[0].output().expect("durable tenant completes"),
+            ram.outcomes[0].output().expect("RAM tenant completes")
+        );
+        assert_eq!(
+            (disk.pads_issued, disk.pad_collisions),
+            (ram.pads_issued, 0)
+        );
+
+        let mut vfs = StdVfs::create(&dir).expect("home dir");
+        let audit = crate::durable::audit_home(&mut vfs, &session).expect("home audits clean");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(audit.duplicate_pads, 0);
+        assert_eq!(audit.ledger_pads, ram.pads_issued);
+        assert!(!audit.journal_epochs.is_empty());
+        assert!(audit.epochs_strictly_increasing, "{audit:?}");
     }
 
     #[test]
